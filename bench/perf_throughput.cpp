@@ -1,6 +1,11 @@
 // Perf — macro simulator throughput: rounds/sec and deliveries/sec of a
 // CFF (Algorithm 1) broadcast under the active-set scheduler vs the
-// full-scan reference, at n = 500 / 2000 / 5000.
+// full-scan reference, at n = 500 / 2000 / 5000. Next to the CFF cell,
+// each row carries the active-set rate and the active/full-scan ratio of
+// the schemes that keep most nodes awake most rounds: the DFO token
+// tour, a gather wave, and reliable iCFF (5% drops, so NACK repair
+// rounds run). Their ratios show what the wake schedule saves per
+// scheme; the CFF columns stay the CI gate's calibrated reference.
 //
 // Both schedulers produce bit-identical runs (the differential suite in
 // tests/radio enforces it), so the full-scan column doubles as an
@@ -19,8 +24,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <numeric>
+#include <utility>
 
 #include "bench/bench_common.hpp"
+#include "broadcast/convergecast.hpp"
+#include "broadcast/reliable.hpp"
 #include "broadcast/runner.hpp"
 #include "obs/flight.hpp"
 
@@ -31,10 +41,17 @@ struct Throughput {
   double deliveriesPerSec = 0.0;
 };
 
-Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
-                   const dsn::ProtocolOptions& opts, int minReps,
-                   double minSeconds = 0.15) {
-  net.broadcast(dsn::BroadcastScheme::kCff, source, 1, opts);  // warm-up
+/// Simulated rounds and deliveries of one timed operation.
+struct OpCount {
+  double rounds = 0.0;
+  double deliveries = 0.0;
+};
+
+/// Times `op` (one call = one run, returning its OpCount) after one
+/// warm-up call.
+template <typename Op>
+Throughput measureOp(const Op& op, int minReps, double minSeconds = 0.15) {
+  op();  // warm-up
 
   // Time-targeted: a single small-n broadcast runs in microseconds, so a
   // fixed rep count yields cache/frequency noise that would destabilize
@@ -46,10 +63,9 @@ Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
   const auto t0 = std::chrono::steady_clock::now();
   double secs = 0.0;
   for (int done = 0;;) {
-    const auto run =
-        net.broadcast(dsn::BroadcastScheme::kCff, source, 1, opts);
-    rounds += static_cast<double>(run.sim.rounds);
-    deliveries += static_cast<double>(run.delivered);
+    const OpCount c = op();
+    rounds += c.rounds;
+    deliveries += c.deliveries;
     ++done;
     secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)
@@ -61,10 +77,34 @@ Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
 }
 
 Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
+                   const dsn::ProtocolOptions& opts, int minReps,
+                   double minSeconds = 0.15) {
+  return measureOp(
+      [&] {
+        const auto run =
+            net.broadcast(dsn::BroadcastScheme::kCff, source, 1, opts);
+        return OpCount{static_cast<double>(run.sim.rounds),
+                       static_cast<double>(run.delivered)};
+      },
+      minReps, minSeconds);
+}
+
+Throughput measure(const dsn::SensorNetwork& net, dsn::NodeId source,
                    dsn::SimScheduling scheduling, int minReps) {
   dsn::ProtocolOptions opts;
   opts.scheduling = scheduling;
   return measure(net, source, opts, minReps);
+}
+
+/// Active-set rate and active/full-scan ratio of one scheme cell. These
+/// runs are 10-1000x longer than a CFF wave, so one rep is the minimum.
+std::pair<double, double> schemeCell(
+    const std::function<OpCount(dsn::SimScheduling)>& op) {
+  const Throughput active =
+      measureOp([&] { return op(dsn::SimScheduling::kActiveSet); }, 1);
+  const Throughput full =
+      measureOp([&] { return op(dsn::SimScheduling::kFullScan); }, 1);
+  return {active.roundsPerSec, active.roundsPerSec / full.roundsPerSec};
 }
 
 }  // namespace
@@ -216,16 +256,48 @@ int main(int argc, char** argv) {
         measure(net, source, SimScheduling::kActiveSet, cfg.trials);
     const Throughput full =
         measure(net, source, SimScheduling::kFullScan, cfg.trials);
+
+    const auto dfo = schemeCell([&](SimScheduling s) {
+      ProtocolOptions o;
+      o.scheduling = s;
+      const auto run = net.broadcast(BroadcastScheme::kDfo, source, 1, o);
+      return OpCount{static_cast<double>(run.sim.rounds),
+                     static_cast<double>(run.delivered)};
+    });
+    std::vector<std::uint64_t> values(net.graph().size());
+    std::iota(values.begin(), values.end(), std::uint64_t{1});
+    const auto gather = schemeCell([&](SimScheduling s) {
+      ProtocolOptions o;
+      o.scheduling = s;
+      const auto run = runConvergecast(net.clusterNet(), values, o);
+      return OpCount{static_cast<double>(run.sim.rounds),
+                     static_cast<double>(run.contributors)};
+    });
+    const auto reliable = schemeCell([&](SimScheduling s) {
+      ReliableOptions o;
+      o.base.scheduling = s;
+      o.base.dropProbability = 0.05;
+      o.base.failureSeed = cfg.trialSeed(n, 2);
+      const auto run =
+          net.reliableBroadcast(BroadcastScheme::kImprovedCff, source, 1, o);
+      return OpCount{static_cast<double>(run.totalRounds),
+                     static_cast<double>(run.delivered)};
+    });
+
     rows.push_back({static_cast<double>(n), active.roundsPerSec,
                     active.deliveriesPerSec, full.roundsPerSec,
                     full.deliveriesPerSec,
-                    active.roundsPerSec / full.roundsPerSec});
+                    active.roundsPerSec / full.roundsPerSec, dfo.first,
+                    dfo.second, gather.first, gather.second, reliable.first,
+                    reliable.second});
   }
 
   bench::emitBench(
-      "perf", "Perf — simulator throughput (CFF broadcast)",
+      "perf", "Perf — simulator throughput (CFF broadcast; DFO, gather, "
+              "reliable iCFF cells)",
       {"n", "active r/s", "active dlv/s", "fullscan r/s", "fullscan dlv/s",
-       "speedup"},
+       "speedup", "dfo r/s", "dfo speedup", "gather r/s", "gather speedup",
+       "reliable r/s", "reliable speedup"},
       rows, cfg, 1);
   return 0;
 }

@@ -78,6 +78,20 @@ bool GatherNodeProtocol::isDone() const {
          childrenHeard_ == cfg_.children.size() || windowClosed_;
 }
 
+Round GatherNodeProtocol::nextWake(Round now) const {
+  if (isDone()) return kNoWake;
+  const Round soonest = now + 1;
+  Round wake = kNoWake;
+  if (!cfg_.children.empty()) {
+    const Round end = childWindowEnd();
+    if (childrenHeard_ < cfg_.children.size() && soonest < end)
+      wake = std::max(childWindowStart(), soonest);
+    if (!windowClosed_) wake = std::min(wake, std::max(end, soonest));
+  }
+  if (!sent_) wake = std::min(wake, std::max(transmitRound(), soonest));
+  return wake;
+}
+
 GatherResult runConvergecast(const ClusterNet& net,
                              const std::vector<std::uint64_t>& values,
                              const ProtocolOptions& options) {

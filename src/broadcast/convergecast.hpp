@@ -69,6 +69,10 @@ class GatherNodeProtocol : public NodeProtocol {
   Action onRound(Round r) override;
   void onReceive(const Message& m, Round r, Channel channel) override;
   bool isDone() const override;
+  /// Exact schedule: the children's window while a child is unheard,
+  /// the window's closing round (the windowClosed_ deadline) and the own
+  /// up-slot round; asleep forever once done.
+  Round nextWake(Round now) const override;
 
   std::uint64_t partialSum() const { return sum_; }
   std::uint32_t contributors() const { return count_; }

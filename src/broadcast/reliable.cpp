@@ -6,7 +6,6 @@
 
 #include "broadcast/runner.hpp"
 #include "broadcast/runner_detail.hpp"
-#include "broadcast/tdm.hpp"
 #include "cluster/cnet.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -35,126 +34,6 @@ double hashCoin(std::uint64_t seed, NodeId v, int repairRound) {
             static_cast<std::uint64_t>(repairRound));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-/// Per-node state machine for one repair round.
-class RepairProtocol final : public NodeProtocol {
- public:
-  struct Config {
-    NodeId self = kInvalidNode;
-    Depth depth = 0;
-    /// Up-slot (root falls back to slot 1).
-    TimeSlot slot = 1;
-    TimeSlot window = 1;  ///< largest up-slot (TDM window basis)
-    Channel channels = 1;
-    int subWindows = 1;  ///< maxDepth + 1 per phase
-    bool covered = false;
-    bool eligible = true;  ///< responder backoff coin (covered nodes)
-    std::uint64_t payload = 0;
-  };
-
-  explicit RepairProtocol(const Config& cfg)
-      : cfg_(cfg), tdm_(cfg.window == 0 ? 1 : cfg.window, cfg.channels) {}
-
-  Round nackPhaseLength() const {
-    return static_cast<Round>(cfg_.subWindows) * tdm_.windowLength();
-  }
-  Round scheduleLength() const { return 2 * nackPhaseLength(); }
-
-  Action onRound(Round r) override {
-    const Round nackEnd = nackPhaseLength();
-    if (cfg_.covered) {
-      if (r < nackEnd) return Action::listen();
-      if (!heardNack_ || !cfg_.eligible) {
-        done_ = true;
-        return Action::sleep();
-      }
-      const Round tx = nackEnd +
-                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                       tdm_.roundOffset(cfg_.slot);
-      if (r == tx) {
-        done_ = true;
-        responded_ = true;
-        Message m;
-        m.kind = MsgKind::kData;
-        m.sender = cfg_.self;
-        m.depth = cfg_.depth;
-        m.slot = cfg_.slot;
-        m.payload = cfg_.payload;
-        return Action::transmit(m, tdm_.channelOf(cfg_.slot));
-      }
-      if (r > tx) done_ = true;
-      return Action::sleep();
-    }
-
-    // Uncovered: one NACK in our depth's sub-window, then listen through
-    // the whole data phase.
-    if (hasPayload_) {
-      done_ = true;
-      return Action::sleep();
-    }
-    const Round nackTx = static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                         tdm_.roundOffset(cfg_.slot);
-    if (r == nackTx) {
-      nackSent_ = true;
-      Message m;
-      m.kind = MsgKind::kNack;
-      m.sender = cfg_.self;
-      m.depth = cfg_.depth;
-      m.slot = cfg_.slot;
-      return Action::transmit(m, tdm_.channelOf(cfg_.slot));
-    }
-    if (r >= nackEnd) return Action::listen();
-    return Action::sleep();
-  }
-
-  void onReceive(const Message& m, Round r, Channel) override {
-    if (cfg_.covered) {
-      if (m.kind == MsgKind::kNack) heardNack_ = true;
-      return;
-    }
-    if (m.kind == MsgKind::kData && !hasPayload_) {
-      hasPayload_ = true;
-      payloadRound_ = r;
-    }
-  }
-
-  bool isDone() const override { return done_; }
-
-  Round nextWake(Round now) const override {
-    if (done_) return kNoWake;
-    const Round nackEnd = nackPhaseLength();
-    if (cfg_.covered) {
-      if (now + 1 < nackEnd) return now + 1;  // NACK-phase listening
-      if (!heardNack_ || !cfg_.eligible) return now + 1;  // done transition
-      const Round tx = nackEnd +
-                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-                       tdm_.roundOffset(cfg_.slot);
-      return tx > now ? tx : now + 1;
-    }
-    if (hasPayload_) return now + 1;  // done transition
-    const Round nackTx =
-        static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
-        tdm_.roundOffset(cfg_.slot);
-    if (nackTx > now) return nackTx;  // our NACK sub-window slot
-    if (now + 1 < nackEnd) return nackEnd;  // sleep out the NACK phase
-    return now + 1;  // data-phase listening
-  }
-
-  bool hasPayload() const { return hasPayload_; }
-  Round payloadRound() const { return payloadRound_; }
-  bool nackSent() const { return nackSent_; }
-  bool responded() const { return responded_; }
-
- private:
-  Config cfg_;
-  TdmMap tdm_;
-  bool heardNack_ = false;
-  bool hasPayload_ = false;
-  Round payloadRound_ = -1;
-  bool nackSent_ = false;
-  bool responded_ = false;
-  bool done_ = false;
-};
 
 /// Shifts the failure plan of `base` by `elapsed` virtual rounds so a
 /// repair-round simulator (whose clock restarts at 0) sees deaths and
@@ -240,23 +119,25 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
 
   Round elapsed = run.wave.sim.rounds;
 
+  // Earliest scheduled death per node, so the per-repair-round dead check
+  // below is O(1) instead of a scan of the whole death list.
+  std::vector<Round> deathRound(g.size(), std::numeric_limits<Round>::max());
+  for (const auto& [node, round] : options.base.deaths)
+    if (node < deathRound.size())
+      deathRound[node] = std::min(deathRound[node], round);
+
   const TimeSlot upWindow = net.rootMaxUpSlot();
   for (int k = 0; k < options.maxRepairRounds; ++k) {
     // A node already scheduled to be dead by now cannot be repaired;
-    // exclude it from the active uncovered set so it does not burn the
+    // stop once only such nodes remain uncovered so they do not burn the
     // remaining budget.
-    std::vector<NodeId> uncovered;
-    for (NodeId v : intended) {
-      if (covered[v]) continue;
-      bool deadNow = false;
-      for (const auto& [node, round] : options.base.deaths)
-        if (node == v && round <= elapsed) deadNow = true;
-      if (!deadNow) uncovered.push_back(v);
-    }
-    if (uncovered.empty()) break;
+    if (std::none_of(intended.begin(), intended.end(), [&](NodeId v) {
+          return !covered[v] && deathRound[v] > elapsed;
+        }))
+      break;
 
     const ProtocolOptions opts = shiftedOptions(options.base, elapsed, k);
-    RepairProtocol::Config proto;
+    ReliableRepairProtocol::Config proto;
     proto.window = upWindow == 0 ? 1 : upWindow;
     proto.channels = opts.channels;
     proto.subWindows = static_cast<int>(maxDepth) + 1;
@@ -266,15 +147,14 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
     cfg.traceCapacity = 0;
     cfg.scheduling = opts.scheduling;
     cfg.resolveScratch = opts.resolveScratch;
-    cfg.maxRounds = 2 * static_cast<Round>(proto.subWindows) *
-                    TdmMap(proto.window, proto.channels).windowLength();
+    cfg.maxRounds = ReliableRepairProtocol(proto).scheduleLength();
 
     RadioSimulator sim(g, cfg);
     detail::applyFailures(sim, opts);
 
-    std::vector<RepairProtocol*> repairers(g.size(), nullptr);
+    std::vector<ReliableRepairProtocol*> repairers(g.size(), nullptr);
     for (NodeId v : intended) {
-      RepairProtocol::Config nc = proto;
+      ReliableRepairProtocol::Config nc = proto;
       nc.self = v;
       nc.depth = net.depth(v);
       nc.slot = net.upSlot(v) == kNoSlot ? 1 : net.upSlot(v);
@@ -283,7 +163,7 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
                     hashCoin(options.base.failureSeed, v, k) <
                         options.responderKeepProbability;
       nc.payload = payload;
-      auto p = std::make_unique<RepairProtocol>(nc);
+      auto p = std::make_unique<ReliableRepairProtocol>(nc);
       repairers[v] = p.get();
       sim.setProtocol(v, std::move(p));
     }
@@ -292,7 +172,7 @@ ReliableBroadcastRun runReliableBroadcast(BroadcastScheme scheme,
     ++run.repairRoundsUsed;
 
     for (NodeId v : intended) {
-      const RepairProtocol* p = repairers[v];
+      const ReliableRepairProtocol* p = repairers[v];
       if (!p) continue;
       if (p->nackSent()) ++run.nacksSent;
       if (p->responded()) ++run.retransmissions;

@@ -27,6 +27,8 @@
 #include <cstdint>
 
 #include "broadcast/run_result.hpp"
+#include "broadcast/tdm.hpp"
+#include "radio/protocol.hpp"
 #include "util/types.hpp"
 
 namespace dsn {
@@ -77,6 +79,128 @@ struct ReliableBroadcastRun {
                : static_cast<double>(delivered) /
                      static_cast<double>(intended);
   }
+};
+
+/// Per-node state machine for one repair round (NACK phase, then data
+/// phase; see the file comment). Each repair round of
+/// runReliableBroadcast is one simulator run over these protocols.
+class ReliableRepairProtocol final : public NodeProtocol {
+ public:
+  struct Config {
+    NodeId self = kInvalidNode;
+    Depth depth = 0;
+    /// Up-slot (root falls back to slot 1).
+    TimeSlot slot = 1;
+    TimeSlot window = 1;  ///< largest up-slot (TDM window basis)
+    Channel channels = 1;
+    int subWindows = 1;  ///< maxDepth + 1 per phase
+    bool covered = false;
+    bool eligible = true;  ///< responder backoff coin (covered nodes)
+    std::uint64_t payload = 0;
+  };
+
+  explicit ReliableRepairProtocol(const Config& cfg)
+      : cfg_(cfg), tdm_(cfg.window == 0 ? 1 : cfg.window, cfg.channels) {}
+
+  Round nackPhaseLength() const {
+    return static_cast<Round>(cfg_.subWindows) * tdm_.windowLength();
+  }
+  Round scheduleLength() const { return 2 * nackPhaseLength(); }
+
+  Action onRound(Round r) override {
+    const Round nackEnd = nackPhaseLength();
+    if (cfg_.covered) {
+      if (r < nackEnd) return Action::listen();
+      if (!heardNack_ || !cfg_.eligible) {
+        done_ = true;
+        return Action::sleep();
+      }
+      const Round tx = nackEnd +
+                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
+                       tdm_.roundOffset(cfg_.slot);
+      if (r == tx) {
+        done_ = true;
+        responded_ = true;
+        Message m;
+        m.kind = MsgKind::kData;
+        m.sender = cfg_.self;
+        m.depth = cfg_.depth;
+        m.slot = cfg_.slot;
+        m.payload = cfg_.payload;
+        return Action::transmit(m, tdm_.channelOf(cfg_.slot));
+      }
+      if (r > tx) done_ = true;
+      return Action::sleep();
+    }
+
+    // Uncovered: one NACK in our depth's sub-window, then listen through
+    // the whole data phase.
+    if (hasPayload_) {
+      done_ = true;
+      return Action::sleep();
+    }
+    const Round nackTx = static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
+                         tdm_.roundOffset(cfg_.slot);
+    if (r == nackTx) {
+      nackSent_ = true;
+      Message m;
+      m.kind = MsgKind::kNack;
+      m.sender = cfg_.self;
+      m.depth = cfg_.depth;
+      m.slot = cfg_.slot;
+      return Action::transmit(m, tdm_.channelOf(cfg_.slot));
+    }
+    if (r >= nackEnd) return Action::listen();
+    return Action::sleep();
+  }
+
+  void onReceive(const Message& m, Round r, Channel) override {
+    if (cfg_.covered) {
+      if (m.kind == MsgKind::kNack) heardNack_ = true;
+      return;
+    }
+    if (m.kind == MsgKind::kData && !hasPayload_) {
+      hasPayload_ = true;
+      payloadRound_ = r;
+    }
+  }
+
+  bool isDone() const override { return done_; }
+
+  Round nextWake(Round now) const override {
+    if (done_) return kNoWake;
+    const Round nackEnd = nackPhaseLength();
+    if (cfg_.covered) {
+      if (now + 1 < nackEnd) return now + 1;  // NACK-phase listening
+      if (!heardNack_ || !cfg_.eligible) return now + 1;  // done transition
+      const Round tx = nackEnd +
+                       static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
+                       tdm_.roundOffset(cfg_.slot);
+      return tx > now ? tx : now + 1;
+    }
+    if (hasPayload_) return now + 1;  // done transition
+    const Round nackTx =
+        static_cast<Round>(cfg_.depth) * tdm_.windowLength() +
+        tdm_.roundOffset(cfg_.slot);
+    if (nackTx > now) return nackTx;  // our NACK sub-window slot
+    if (now + 1 < nackEnd) return nackEnd;  // sleep out the NACK phase
+    return now + 1;  // data-phase listening
+  }
+
+  bool hasPayload() const { return hasPayload_; }
+  Round payloadRound() const { return payloadRound_; }
+  bool nackSent() const { return nackSent_; }
+  bool responded() const { return responded_; }
+
+ private:
+  Config cfg_;
+  TdmMap tdm_;
+  bool heardNack_ = false;
+  bool hasPayload_ = false;
+  Round payloadRound_ = -1;
+  bool nackSent_ = false;
+  bool responded_ = false;
+  bool done_ = false;
 };
 
 /// Runs the wave with `scheme` (kCff or kImprovedCff; the DFO token tour

@@ -292,11 +292,17 @@ class ActiveSetEngine : public SimEngine {
   // node is counted out at most once per seed.
   std::vector<std::uint8_t> resolved_;
   std::size_t pending_ = 0;
-  // Min-heap over (wake round, node); std::greater pops ascending (round,
-  // node), which preserves the full scan's node-id iteration order within
-  // a round. Each node holds at most one entry (re-queued only after its
-  // entry is processed), so the pop sequence is a pure function of the
-  // contents regardless of internal heap layout.
+  // Two-lane wake queue. `lane_` holds the nodes that wake at round
+  // cursor_ (the next round to execute), ascending by id: post-round
+  // re-queueing walks the active set in id order, so appending keeps it
+  // sorted for free. Every-round listeners (the common case) thus cost
+  // one push_back instead of a heap pop + push. `wake_` is a min-heap
+  // over (wake round, node) for wakes further out; std::greater pops
+  // ascending (round, node), which preserves the full scan's node-id
+  // iteration order within a round. Each node holds at most one entry
+  // across both lanes (re-queued only after its entry is processed), so
+  // the merged visit order is a pure function of the contents.
+  std::vector<NodeId> lane_;
   std::vector<WakeEntry> wake_;
   // Scheduled deaths as a sorted event list; processing an event retires
   // the node from the pending count exactly when isDead starts holding.
@@ -324,6 +330,8 @@ void ActiveSetEngine::seed(Round from) {
   actions_.assign(n_, Action::sleep());
   resolved_.assign(n_, 0);
   pending_ = 0;
+  lane_.clear();
+  lane_.reserve(n_);
   wake_.clear();
   wake_.reserve(n_ + 1);
 
@@ -344,8 +352,10 @@ void ActiveSetEngine::seed(Round from) {
       ++pending_;
     }
     const Round nw = sim.nodeNextWake(v, from - 1);
-    if (nw != kNoWake) {
-      DSN_REQUIRE(nw >= from, "nextWake must not name a past round");
+    if (nw == from) {
+      lane_.push_back(v);
+    } else if (nw != kNoWake) {
+      DSN_REQUIRE(nw > from, "nextWake must not name a past round");
       wake_.emplace_back(nw, v);
     }
   }
@@ -371,6 +381,7 @@ void ActiveSetEngine::advanceTo(Round stop) {
   RadioSimulator& sim = sim_;
   SimResult& result = result_;
   const CsrView& csr = *csr_;
+  auto& lane = lane_;
   auto& wake = wake_;
   auto& actions = actions_;
   auto& active = active_;
@@ -401,7 +412,8 @@ void ActiveSetEngine::advanceTo(Round stop) {
     // Fast-forward over idle spans: rounds with no waker and no death are
     // all-sleep no-ops in the full scan; only the round counter moves.
     // Clamped to the segment boundary so a pause lands exactly on `stop`.
-    Round nextEvent = sim.config_.maxRounds;
+    // A non-empty lane means someone wakes this very round.
+    Round nextEvent = lane.empty() ? sim.config_.maxRounds : r;
     if (!wake.empty()) nextEvent = std::min(nextEvent, wake.front().first);
     if (deathIdx_ < deaths_.size()) {
       nextEvent = std::min(nextEvent, deaths_[deathIdx_].first);
@@ -422,14 +434,21 @@ void ActiveSetEngine::advanceTo(Round stop) {
     const bool frSampled = frAny_ != nullptr && frAny_->roundSampled(r);
     profiler_.beginRound();
 
-    // Phase 1: this round's wakers, ascending node id.
+    // Phase 1: this round's wakers, ascending node id — the lane merged
+    // with the heap entries due this round.
     active.clear();
     transmitters.clear();
+    std::size_t li = 0;
     while (!wake.empty() && wake.front().first == r) {
       std::pop_heap(wake.begin(), wake.end(), std::greater<WakeEntry>{});
-      active.push_back(wake.back().second);
+      const NodeId v = wake.back().second;
       wake.pop_back();
+      while (li < lane.size() && lane[li] < v) active.push_back(lane[li++]);
+      active.push_back(v);
     }
+    active.insert(active.end(), lane.begin() + static_cast<std::ptrdiff_t>(li),
+                  lane.end());
+    lane.clear();
     if (frRound_ && frSampled)
       frRound_->record(frEvent(obs::FrType::kRoundBegin, r, 0,
                                static_cast<std::uint32_t>(active.size())));
@@ -535,7 +554,9 @@ void ActiveSetEngine::advanceTo(Round stop) {
         --pending_;
       }
       const Round nw = sim.nodeNextWake(v, r);
-      if (nw != kNoWake) {
+      if (nw == r + 1) {
+        lane.push_back(v);  // active is ascending, so the lane stays sorted
+      } else if (nw != kNoWake) {
         DSN_REQUIRE(nw > r, "nextWake must name a future round");
         wake.emplace_back(nw, v);
         std::push_heap(wake.begin(), wake.end(), std::greater<WakeEntry>{});

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "serve/json_value.hpp"
@@ -67,6 +68,17 @@ std::uint64_t uintField(const JsonValue& doc, const std::string& key,
   if (d < 0.0 || d != std::floor(d) || d > 1.8e19)
     fieldFail(key, "expected a non-negative integer");
   return static_cast<std::uint64_t>(d);
+}
+
+/// uintField narrowed to T: a value T cannot hold is rejected, never
+/// wrapped.
+template <typename T>
+T narrowUintField(const JsonValue& doc, const std::string& key, T fallback) {
+  const std::uint64_t u =
+      uintField(doc, key, static_cast<std::uint64_t>(fallback));
+  if (u > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+    fieldFail(key, "out of range");
+  return static_cast<T>(u);
 }
 
 std::string stringField(const JsonValue& doc, const std::string& key,
@@ -151,15 +163,14 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
     job.nodes = uintField(doc, "nodes", 0);
     if (job.nodes == 0) fieldFail("nodes", "required and must be positive");
     job.seed = uintField(doc, "seed", job.seed);
-    job.fieldUnits = static_cast<int>(uintField(
-        doc, "field_units", static_cast<std::uint64_t>(job.fieldUnits)));
+    job.fieldUnits = narrowUintField(doc, "field_units", job.fieldUnits);
     if (job.fieldUnits <= 0) fieldFail("field_units", "must be positive");
     job.range = numberField(doc, "range", job.range);
     if (!(job.range > 0.0)) fieldFail("range", "must be positive");
     const std::string deploy = stringField(doc, "deploy", "attach");
     if (!parseDeployWord(deploy, job.deploy))
       fieldFail("deploy", "want attach|uniform|grid|line|star");
-    job.channels = static_cast<Channel>(uintField(doc, "channels", 1));
+    job.channels = narrowUintField<Channel>(doc, "channels", 1);
     if (job.channels == 0) fieldFail("channels", "must be positive");
     job.drop = numberField(doc, "drop", 0.0);
     if (job.drop < 0.0 || job.drop >= 1.0)
@@ -174,7 +185,7 @@ ServeJob parseJobLine(const std::string& line, std::size_t index,
       job.protocol = scheme;
     }
     job.traceCapacity = uintField(doc, "trace_cap", 0);
-    job.threads = static_cast<int>(uintField(doc, "threads", 0));
+    job.threads = narrowUintField(doc, "threads", 0);
     job.autoRepair = boolField(doc, "auto_repair", false);
     if (!doc.has("scenario")) fieldFail("scenario", "required");
     job.scenarioText = stringField(doc, "scenario", "");

@@ -22,6 +22,7 @@ class Parser {
  private:
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around the cursor
 
   [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error(what + " at offset " + std::to_string(pos_));
@@ -48,8 +49,15 @@ class Parser {
   JsonValue parseValue() {
     skipWs();
     const char c = peek();
-    if (c == '{') return parseObject();
-    if (c == '[') return parseArray();
+    if (c == '{' || c == '[') {
+      // The descent is recursive: cap it so a hostile line fails with an
+      // error instead of overflowing the stack.
+      if (depth_ == kMaxJsonDepth) fail("nesting too deep");
+      ++depth_;
+      JsonValue v = c == '{' ? parseObject() : parseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.type = JsonValue::Type::kString;

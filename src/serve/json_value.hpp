@@ -9,6 +9,7 @@
 // bytes) and parsed once per job, far off the serve hot path.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,6 +29,10 @@ struct JsonValue {
   /// Throws std::runtime_error when the key is absent.
   const JsonValue& at(const std::string& key) const;
 };
+
+/// Deepest array/object nesting parseJson accepts; deeper input is an
+/// error (the parser recurses once per level).
+inline constexpr std::size_t kMaxJsonDepth = 64;
 
 /// Parses a complete JSON document. Trailing non-whitespace is an error.
 JsonValue parseJson(const std::string& text);

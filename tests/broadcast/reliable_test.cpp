@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/sensor_network.hpp"
 
 namespace dsn {
@@ -132,6 +136,64 @@ TEST(ReliableBroadcastTest, WorksOnPlainCffToo) {
       BroadcastScheme::kCff, net.clusterNet().root(), 7, ro);
   EXPECT_TRUE(run.allDelivered())
       << "residual uncovered: " << run.residualUncovered;
+}
+
+TEST(ReliableBroadcastTest, ScheduledDeathsAreExcludedFromRepair) {
+  SensorNetwork net(config(48, 140));
+  const ClusterNet& cnet = net.clusterNet();
+  // Crash pure members (no structure hangs off them): four before the
+  // wave starts, one a few rounds into it.
+  std::vector<NodeId> members;
+  for (const NodeId v : cnet.netNodes())
+    if (cnet.status(v) == NodeStatus::kPureMember) members.push_back(v);
+  ASSERT_GE(members.size(), 5u);
+  ReliableOptions ro;
+  ro.base.dropProbability = 0.3;
+  ro.base.failureSeed = 0xDEAD5;
+  ro.maxRepairRounds = 30;
+  for (std::size_t i = 0; i < 5; ++i)
+    ro.base.deaths.emplace_back(members[i * members.size() / 5],
+                                i < 4 ? Round{0} : Round{3});
+
+  const auto run = [&](SimScheduling s, int threads) {
+    ReliableOptions o = ro;
+    o.base.scheduling = s;
+    o.base.threads = threads;
+    return net.reliableBroadcast(BroadcastScheme::kImprovedCff, cnet.root(),
+                                 7, o);
+  };
+  const auto active = run(SimScheduling::kActiveSet, 0);
+  ASSERT_GT(active.repairRoundsUsed, 0);
+
+  // Nodes dead from round 0 never get the payload; once only dead nodes
+  // are left uncovered the repair loop stops instead of spending the
+  // rest of its budget on them.
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(active.deliveryRound[ro.base.deaths[i].first], -1);
+  std::size_t uncoveredDead = 0;
+  for (const NodeId v : cnet.netNodes()) {
+    if (active.deliveryRound[v] >= 0) continue;
+    bool dead = false;
+    for (const auto& [node, round] : ro.base.deaths) dead |= node == v;
+    EXPECT_TRUE(dead) << "live node " << v << " left uncovered";
+    ++uncoveredDead;
+  }
+  EXPECT_GE(uncoveredDead, 4u);
+  EXPECT_EQ(active.residualUncovered, uncoveredDead);
+  EXPECT_LT(active.repairRoundsUsed, ro.maxRepairRounds);
+
+  for (const auto& [s, threads] :
+       {std::pair{SimScheduling::kFullScan, 0},
+        std::pair{SimScheduling::kActiveSet, 2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto other = run(s, threads);
+    EXPECT_EQ(other.delivered, active.delivered);
+    EXPECT_EQ(other.repairRoundsUsed, active.repairRoundsUsed);
+    EXPECT_EQ(other.nacksSent, active.nacksSent);
+    EXPECT_EQ(other.retransmissions, active.retransmissions);
+    EXPECT_EQ(other.totalRounds, active.totalRounds);
+    EXPECT_EQ(other.deliveryRound, active.deliveryRound);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
+#include <vector>
 
 #include "core/sensor_network.hpp"
 
@@ -62,8 +64,16 @@ std::vector<Point2D> comb(std::size_t teeth, double range) {
   return pts;
 }
 
-class TopologyZoo
-    : public ::testing::TestWithParam<std::vector<Point2D> (*)(void)> {};
+// A named zoo entry. The name is what gtest prints for GetParam(), so the
+// CTest case is called e.g. ".../ring" instead of after a function address
+// that moves from build to build.
+struct Shape {
+  const char* name;
+  std::vector<Point2D> (*build)();
+};
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
+
+class TopologyZoo : public ::testing::TestWithParam<Shape> {};
 
 std::vector<Point2D> zooRing() { return ring(12, 50.0); }
 std::vector<Point2D> zooBlob() { return denseBlob(20, 50.0); }
@@ -74,7 +84,7 @@ std::vector<Point2D> zooStar() { return deployStar(10, 50.0); }
 std::vector<Point2D> zooPair() { return {{0, 0}, {30, 0}}; }
 
 TEST_P(TopologyZoo, AllProtocolsDeliverEverywhere) {
-  SensorNetwork net(GetParam()(), 50.0);
+  SensorNetwork net(GetParam().build(), 50.0);
   ASSERT_TRUE(net.validate().ok()) << net.validate().summary();
   Rng rng(17);
   for (auto scheme : {BroadcastScheme::kDfo, BroadcastScheme::kCff,
@@ -93,9 +103,13 @@ TEST_P(TopologyZoo, AllProtocolsDeliverEverywhere) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TopologyZoo,
-                         ::testing::Values(&zooRing, &zooBlob,
-                                           &zooDumbbell, &zooComb,
-                                           &zooLine, &zooStar, &zooPair));
+                         ::testing::Values(Shape{"ring", &zooRing},
+                                           Shape{"blob", &zooBlob},
+                                           Shape{"dumbbell", &zooDumbbell},
+                                           Shape{"comb", &zooComb},
+                                           Shape{"line", &zooLine},
+                                           Shape{"star", &zooStar},
+                                           Shape{"pair", &zooPair}));
 
 TEST(TopologyZooTest, CliqueIsOneCluster) {
   SensorNetwork net(denseBlob(15, 50.0), 50.0);

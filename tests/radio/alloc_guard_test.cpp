@@ -9,8 +9,14 @@
 // A third pass covers the sharded round engine (DESIGN.md §14): its
 // per-tile buffers reach a high-water capacity and are then reused, so a
 // 4x longer run must cost exactly as many allocations as a short one —
-// the per-round marginal cost is zero. A plain executable (not gtest) so
-// the override sees only our own code paths.
+// the per-round marginal cost is zero. A fourth pass runs warm DFO and
+// gather waves on the active-set engine — DFO keeps every node listening
+// every round (the next-round wake lane), gather mixes the lane with
+// multi-round heap wakes — and requires that, once the engine is seeded,
+// not one round allocates: both wake lanes are reserved in seed(). A
+// plain executable (not gtest) so the override sees only our own code
+// paths.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +24,9 @@
 #include <new>
 #include <vector>
 
+#include "broadcast/convergecast.hpp"
+#include "broadcast/dfo.hpp"
+#include "core/sensor_network.hpp"
 #include "graph/deploy.hpp"
 #include "graph/unit_disk.hpp"
 #include "obs/flight.hpp"
@@ -103,6 +112,86 @@ bool sameOutcome(const ChannelOutcome& a, const ChannelOutcome& b) {
         a.collisionSites[i].channel != b.collisionSites[i].channel)
       return false;
   }
+  return true;
+}
+
+/// Installs a DFO wave from the root over `net`.
+void installDfo(RadioSimulator& sim, const ClusterNet& net) {
+  for (const NodeId v : net.netNodes()) {
+    if (net.isBackbone(v)) {
+      std::vector<NodeId> bt;
+      if (v != net.root()) bt.push_back(net.parent(v));
+      for (const NodeId c : net.children(v))
+        if (net.isBackbone(c)) bt.push_back(c);
+      sim.setProtocol(v, std::make_unique<DfoBackboneProtocol>(
+                             v, std::move(bt), v == net.root(), 1));
+    } else {
+      sim.setProtocol(
+          v, std::make_unique<DfoMemberProtocol>(v, net.parent(v), false, 1));
+    }
+  }
+}
+
+/// Installs a gather wave over `net` (every node reports its id).
+void installGather(RadioSimulator& sim, const ClusterNet& net) {
+  int maxDepth = 0;
+  for (const NodeId v : net.netNodes())
+    maxDepth = std::max(maxDepth, static_cast<int>(net.depth(v)));
+  for (const NodeId v : net.netNodes()) {
+    GatherNodeConfig nc;
+    nc.self = v;
+    nc.parent = v == net.root() ? kInvalidNode : net.parent(v);
+    nc.depth = net.depth(v);
+    nc.children = net.children(v);
+    nc.upSlot = v == net.root() ? kNoSlot : net.upSlot(v);
+    nc.window = net.rootMaxUpSlot();
+    nc.maxDepth = maxDepth;
+    nc.value = v;
+    sim.setProtocol(v, std::make_unique<GatherNodeProtocol>(nc));
+  }
+}
+
+/// Runs one wave to completion twice on a shared resolve scratch: the
+/// first run warms the scratch's outcome buffers, the second is seeded
+/// (runUntil(0) builds the engine) and then armed for its whole round
+/// loop. Returns false (after printing why) unless the armed loop ran a
+/// real wave with zero allocations.
+template <typename Install>
+bool warmWaveAllocatesNothing(const char* name, const Graph& g,
+                              Round maxRounds, Install install) {
+  ResolveScratch scratch;
+  SimConfig cfg;
+  cfg.maxRounds = maxRounds;
+  cfg.resolveScratch = &scratch;
+  {
+    RadioSimulator warm(g, cfg);
+    install(warm);
+    warm.run();
+  }
+  RadioSimulator sim(g, cfg);
+  install(sim);
+  sim.runUntil(0);
+  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  g_armed = true;
+  const SimResult res = sim.runUntil(maxRounds);
+  g_armed = false;
+  const std::size_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  if (!res.completed || res.totalDeliveries == 0) {
+    std::fprintf(stderr, "FAIL: warm %s wave did not complete with "
+                         "deliveries — not a meaningful guard\n", name);
+    return false;
+  }
+  if (allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: warm %s wave allocated %zu times across %lld "
+                 "rounds (expected 0)\n",
+                 name, allocs, static_cast<long long>(res.rounds));
+    return false;
+  }
+  std::printf("ok: warm %s wave, %lld rounds, %zu deliveries, 0 "
+              "allocations\n",
+              name, static_cast<long long>(res.rounds),
+              res.totalDeliveries);
   return true;
 }
 
@@ -300,6 +389,20 @@ int run() {
                          "active-set reference\n");
     return 1;
   }
+
+  NetworkConfig netCfg;
+  netCfg.nodeCount = 300;
+  netCfg.seed = 0xA110D;
+  const SensorNetwork net(netCfg);
+  const ClusterNet& cnet = net.clusterNet();
+  if (!warmWaveAllocatesNothing(
+          "DFO", net.graph(),
+          static_cast<Round>(4 * cnet.backboneNodes().size() + 16),
+          [&](RadioSimulator& sim) { installDfo(sim, cnet); }) ||
+      !warmWaveAllocatesNothing(
+          "gather", net.graph(), 1 << 16,
+          [&](RadioSimulator& sim) { installGather(sim, cnet); }))
+    return 1;
 
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
               "deliveries + %zu collision sites per round; recorded "

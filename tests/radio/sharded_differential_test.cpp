@@ -10,9 +10,11 @@
 // exercise the parallel tile path instead of the serial fallback.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "broadcast/convergecast.hpp"
 #include "broadcast/flooding_baseline.hpp"
 #include "broadcast/inflight.hpp"
 #include "broadcast/reliable.hpp"
@@ -184,6 +186,41 @@ TEST(ShardedDifferentialTest, ReliableBroadcastRepairRounds) {
     EXPECT_EQ(sharded.repairRoundsUsed, reference.repairRoundsUsed);
     EXPECT_EQ(sharded.nacksSent, reference.nacksSent);
     expectSameRun(sharded.wave, reference.wave);
+  }
+}
+
+void expectSameGather(const GatherResult& a, const GatherResult& b) {
+  EXPECT_EQ(a.sim.rounds, b.sim.rounds);
+  EXPECT_EQ(a.sim.completed, b.sim.completed);
+  EXPECT_EQ(a.sim.totalTransmissions, b.sim.totalTransmissions);
+  EXPECT_EQ(a.sim.totalDeliveries, b.sim.totalDeliveries);
+  EXPECT_EQ(a.sim.totalCollisions, b.sim.totalCollisions);
+  EXPECT_EQ(a.sim.droppedTransmissions, b.sim.droppedTransmissions);
+  EXPECT_EQ(a.aggregate, b.aggregate);
+  EXPECT_EQ(a.contributors, b.contributors);
+  EXPECT_EQ(a.maxAwakeRounds, b.maxAwakeRounds);
+  EXPECT_DOUBLE_EQ(a.meanAwakeRounds, b.meanAwakeRounds);
+  expectSameTrace(a.trace, b.trace);
+}
+
+TEST(ShardedDifferentialTest, GatherCleanAndUnderFaults) {
+  const SensorNetwork net(paperNetwork(150, 0xD1FF08));
+  std::vector<std::uint64_t> values(net.graph().size());
+  std::iota(values.begin(), values.end(), std::uint64_t{1});
+  ProtocolOptions clean;
+  clean.traceCapacity = 1 << 16;
+  ProtocolOptions faulty = clean;
+  faulty.dropProbability = 0.15;
+  faulty.deaths = {{5, 2}, {17, 0}, {33, 6}, {60, 10}, {90, 25}};
+  for (const ProtocolOptions& opts : {clean, faulty}) {
+    const auto reference = runConvergecast(net.clusterNet(), values, opts);
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE("drop=" + std::to_string(opts.dropProbability) +
+                   " threads=" + std::to_string(threads));
+      const auto sharded = runConvergecast(net.clusterNet(), values,
+                                           withThreads(opts, threads));
+      expectSameGather(sharded, reference);
+    }
   }
 }
 

@@ -168,6 +168,41 @@ TEST_F(ServeEngineTest, ServeStreamEmitsInOrderWithInPlaceErrors) {
   EXPECT_NE(lines[3].find("strictly increasing"), std::string::npos);
 }
 
+TEST_F(ServeEngineTest, HostileLinesGetOneErrorRecordEach) {
+  // A 200k-deep nest (a stack overflow for an uncapped recursive
+  // parser) and a field that would wrap on narrowing sit between good
+  // jobs: each line gets exactly one record and serving carries on.
+  std::istringstream in(
+      R"({"schema":"dsnet-job-v1","id":1,"nodes":50,"scenario":"validate"})"
+      "\n" +
+      std::string(200000, '[') + "\n" +
+      R"({"schema":"dsnet-job-v1","id":2,"nodes":50,"field_units":4294967301,"scenario":"validate"})"
+      "\n"
+      R"({"schema":"dsnet-job-v1","id":3,"nodes":50,"scenario":"validate"})"
+      "\n");
+  std::ostringstream out;
+  ServeEngine engine({.jobs = 2, .cacheCapacity = 8});
+  const ServeReport report = engine.serveStream(in, out);
+  EXPECT_EQ(report.jobsRun, 4u);
+  EXPECT_EQ(report.parseErrors, 2u);
+
+  std::vector<std::string> lines;
+  std::string line;
+  std::istringstream result(out.str());
+  while (std::getline(result, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  for (const auto& l : lines) EXPECT_NO_THROW(parseJson(l)) << l;
+  EXPECT_NE(lines[0].find("\"schema\":\"dsnet-run-v1\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"schema\":\"dsnet-error-v1\""),
+            std::string::npos);
+  EXPECT_NE(lines[1].find("nesting too deep"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"schema\":\"dsnet-error-v1\""),
+            std::string::npos);
+  EXPECT_NE(lines[2].find("field_units"), std::string::npos);
+  EXPECT_NE(lines[3].find("\"schema\":\"dsnet-run-v1\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"job\":3"), std::string::npos);
+}
+
 TEST_F(ServeEngineTest, RecordsOmitTimingUnlessRequested) {
   std::vector<ServeJob> jobs{parseJobLine(
       R"({"schema":"dsnet-job-v1","nodes":50,"scenario":"validate"})", 0)};

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "core/sensor_network.hpp"
 #include "serve/job.hpp"
+#include "serve/json_value.hpp"
 
 namespace dsn::serve {
 namespace {
@@ -94,6 +97,52 @@ TEST(ServeJob, MalformedLinesReportInsteadOfThrow) {
     EXPECT_TRUE(job.failed()) << "accepted: " << line;
     EXPECT_EQ(job.index, 7u);
   }
+}
+
+TEST(ServeJob, DeepNestingIsAnErrorNotAStackOverflow) {
+  // The parser recurses per array/object level; the cap turns a hostile
+  // line into an ordinary parse error.
+  const std::string atCap = std::string(kMaxJsonDepth, '[') +
+                            std::string(kMaxJsonDepth, ']');
+  EXPECT_NO_THROW(parseJson(atCap));
+  const std::string overCap = "[" + atCap + "]";
+  EXPECT_THROW(parseJson(overCap), std::runtime_error);
+
+  const ServeJob job = parseJobLine(std::string(200000, '['), 3);
+  EXPECT_TRUE(job.failed());
+  EXPECT_NE(job.parseError.find("nesting too deep"), std::string::npos)
+      << job.parseError;
+  std::string nestedObjects =
+      R"({"schema":"dsnet-job-v1","nodes":10,"scenario":"validate","x":)";
+  for (int i = 0; i < 100000; ++i) nestedObjects += R"({"x":)";
+  const ServeJob objects = parseJobLine(nestedObjects, 4);
+  EXPECT_TRUE(objects.failed());
+  EXPECT_NE(objects.parseError.find("nesting too deep"), std::string::npos)
+      << objects.parseError;
+}
+
+TEST(ServeJob, NarrowedIntegerFieldsRejectValuesThatWouldWrap) {
+  // 4294967301 = 2^32 + 5: a plain cast to a 32-bit field reads 5.
+  for (const char* key : {"field_units", "channels", "threads"}) {
+    const std::string line =
+        std::string(R"({"schema":"dsnet-job-v1","nodes":10,")") + key +
+        R"(":4294967301,"scenario":"validate"})";
+    const ServeJob job = parseJobLine(line, 0);
+    EXPECT_TRUE(job.failed()) << "accepted: " << line;
+    EXPECT_NE(job.parseError.find(key), std::string::npos) << job.parseError;
+  }
+  // field_units and threads are ints: 2^31 is already out of range, the
+  // largest int is not.
+  EXPECT_TRUE(parseJobLine(R"({"schema":"dsnet-job-v1","nodes":10,)"
+                           R"("field_units":2147483648,"scenario":""})",
+                           0)
+                  .failed());
+  const ServeJob widest =
+      parseJobLine(R"({"schema":"dsnet-job-v1","nodes":10,)"
+                   R"("field_units":2147483647,"scenario":"validate"})",
+                   0);
+  EXPECT_FALSE(widest.failed()) << widest.parseError;
+  EXPECT_EQ(widest.fieldUnits, 2147483647);
 }
 
 TEST(ServeJob, IdsMustStrictlyIncrease) {
