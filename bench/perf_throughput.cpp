@@ -6,6 +6,14 @@
 // tour, a gather wave, and reliable iCFF (5% drops, so NACK repair
 // rounds run). Their ratios show what the wake schedule saves per
 // scheme; the CFF columns stay the CI gate's calibrated reference.
+// Two host-cost cells cover the structure layers: construction (ns per
+// moveIn while cnet.build inserts all n nodes into a fresh ClusterNet)
+// and churn repair (ChurnEngine ticks/s over 250 ticks = 2000 rounds at
+// wsn_campaign's defaults: churn 0.3, adaptive repair, random waypoint
+// at speed 20 every 32 rounds, validator on). The churn cell runs at
+// n = 500 only (the churn_waves size; 0 in the other rows), since a tick
+// at n = 5000 costs ~35x more. They only report numbers; no gate reads
+// them.
 //
 // Both schedulers produce bit-identical runs (the differential suite in
 // tests/radio enforces it), so the full-scan column doubles as an
@@ -32,6 +40,8 @@
 #include "broadcast/convergecast.hpp"
 #include "broadcast/reliable.hpp"
 #include "broadcast/runner.hpp"
+#include "mobility/churn.hpp"
+#include "mobility/model.hpp"
 #include "obs/flight.hpp"
 
 namespace {
@@ -105,6 +115,52 @@ std::pair<double, double> schemeCell(
   const Throughput full =
       measureOp([&] { return op(dsn::SimScheduling::kFullScan); }, 1);
   return {active.roundsPerSec, active.roundsPerSec / full.roundsPerSec};
+}
+
+/// ns per moveIn of a whole bulk construction (cnet.build) over `g`.
+double constructionNsPerMoveIn(const dsn::Graph& g) {
+  dsn::Graph graph = g;  // a ClusterNet borrows its graph mutably
+  const std::vector<dsn::NodeId> order = graph.liveNodes();
+  const Throughput t = measureOp(
+      [&] {
+        dsn::ClusterNet net(graph);
+        net.buildAll(order);
+        return OpCount{static_cast<double>(order.size()), 0.0};
+      },
+      1);
+  return 1e9 / t.roundsPerSec;
+}
+
+/// Churn ticks per second on a fresh deployment built from `nc`, at
+/// wsn_campaign's default churn, motion and repair settings.
+double churnTicksPerSec(const dsn::NetworkConfig& nc) {
+  using namespace dsn::mobility;
+  constexpr double kChurn = 0.3;
+  constexpr int kTicks = 250;
+  constexpr dsn::Round kChurnPeriod = 8;
+  dsn::SensorNetwork net(nc);
+  WaypointConfig wc;
+  wc.field = nc.field;
+  wc.speed = 20.0;
+  wc.period = 32;
+  wc.seed = nc.seed ^ 0x30B11E;
+  RandomWaypointModel model(wc);
+  for (dsn::NodeId v : net.clusterNet().netNodes())
+    model.track(v, net.position(v));
+  ChurnConfig cc;
+  cc.crashRate = 0.4 * kChurn;
+  cc.joinRate = 0.5 * kChurn;
+  cc.leaveRate = 0.1 * kChurn;
+  cc.policy = RepairPolicy::kAdaptive;
+  cc.field = nc.field;
+  cc.seed = nc.seed ^ 0xC0FFEE;
+  ChurnEngine engine(net, &model, cc);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kTicks; ++i) engine.tick(i * kChurnPeriod);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  return kTicks / secs;
 }
 
 }  // namespace
@@ -289,15 +345,17 @@ int main(int argc, char** argv) {
                     full.deliveriesPerSec,
                     active.roundsPerSec / full.roundsPerSec, dfo.first,
                     dfo.second, gather.first, gather.second, reliable.first,
-                    reliable.second});
+                    reliable.second, constructionNsPerMoveIn(net.graph()),
+                    n == 500 ? churnTicksPerSec(nc) : 0.0});
   }
 
   bench::emitBench(
       "perf", "Perf — simulator throughput (CFF broadcast; DFO, gather, "
-              "reliable iCFF cells)",
+              "reliable iCFF cells; construction and churn host cost)",
       {"n", "active r/s", "active dlv/s", "fullscan r/s", "fullscan dlv/s",
        "speedup", "dfo r/s", "dfo speedup", "gather r/s", "gather speedup",
-       "reliable r/s", "reliable speedup"},
+       "reliable r/s", "reliable speedup", "build ns/moveIn",
+       "churn ticks/s"},
       rows, cfg, 1);
   return 0;
 }

@@ -198,27 +198,49 @@ NodeId ClusterNet::selectCandidate(const std::vector<NodeId>& candidates) {
   return candidates.front();
 }
 
-std::vector<NodeId> ClusterNet::netNeighbors(NodeId v) const {
-  std::vector<NodeId> out;
-  for (NodeId u : graph_.neighbors(v))
-    if (contains(u)) out.push_back(u);
-  return out;
+bool ClusterNet::hasNetNeighbor(NodeId v) const {
+  for (NodeId u : adj(v))
+    if (contains(u)) return true;
+  return false;
+}
+
+std::size_t ClusterNet::reattach(std::vector<NodeId>& pending) {
+  // Nodes that join during a sweep count as net neighbors for the nodes
+  // after them in the same sweep; the orphans are compacted in place.
+  std::size_t joined = 0;
+  bool progress = true;
+  while (progress && !pending.empty()) {
+    progress = false;
+    std::size_t kept = 0;
+    for (const NodeId t : pending) {
+      if (hasNetNeighbor(t)) {
+        moveIn(t);
+        ++joined;
+        progress = true;
+      } else {
+        pending[kept++] = t;
+      }
+    }
+    pending.resize(kept);
+  }
+  return joined;
 }
 
 void ClusterNet::refreshHeightsFrom(NodeId start) {
-  // Bottom-up exact recompute along the root path; each hop is one
-  // "updating your height" message (paper Section 5.1, step 2).
-  NodeId v = start;
-  std::int64_t hops = 0;
-  while (v != kInvalidNode) {
+  // Bottom-up exact recompute toward the root; each hop is one "updating
+  // your height" message (paper Section 5.1, step 2). Every other height
+  // is exact on entry, so once a node's height comes out unchanged its
+  // ancestors' do too — but the message still travels the whole root
+  // path, whose length the (exact) depth gives.
+  costs_.rootPath += know_[start].depth + 1;
+  for (NodeId v = start; v != kInvalidNode;) {
     NodeKnowledge& k = know_[v];
     int h = 0;
     for (NodeId c : k.children) h = std::max(h, know_[c].height + 1);
+    if (h == k.height) break;
     k.height = h;
     v = k.parent;
-    ++hops;
   }
-  costs_.rootPath += hops;
 }
 
 void ClusterNet::reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u) {

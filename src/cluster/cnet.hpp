@@ -233,11 +233,21 @@ class ClusterNet {
   RoundCost costs_;
   Rng attachRng_;
 
+  // Mutation scratch, reused across calls so churn ticks stay
+  // allocation-free once warm. Only mutators touch it (a ClusterNet has
+  // a single writer); const queries keep their buffers local, so
+  // concurrent readers stay safe.
+  std::vector<NodeId> candidates_;    ///< moveIn: best-class neighbors
+  std::vector<TimeSlot> slotScratch_; ///< slot conditions / procedures
+  std::vector<NodeId> subtree_;       ///< withdraw: T, then pending
+  std::vector<NodeId> boundary_;      ///< withdraw: H receivers next to T
+
   // -- shared helpers (cnet.cpp) --
   /// Neighbor range of v: the graph's CSR snapshot when it is fresh
   /// (compactSlots freshens it once up front for its whole BFS pass),
   /// else the per-node adjacency vector — never forces an O(V+E) rebuild
-  /// inside the incremental mutation path.
+  /// inside the incremental mutation path. Both list neighbors in the
+  /// same order.
   CsrView::Span adj(NodeId v) const {
     if (const CsrView* csr = graph_.csrViewIfFresh())
       return csr->neighbors(v);
@@ -248,45 +258,50 @@ class ClusterNet {
   NodeKnowledge& mutableKnowledge(NodeId v);
   void requireInNet(NodeId v, const char* what) const;
   NodeId selectCandidate(const std::vector<NodeId>& candidates);
-  /// Net neighbors of v in G (live + inNet).
-  std::vector<NodeId> netNeighbors(NodeId v) const;
-  /// Recomputes heights bottom-up along the path from `start` to the
-  /// root using children's stored heights; meters `pathRounds`.
+  /// True when some graph neighbor of v is in the net.
+  bool hasNetNeighbor(NodeId v) const;
+  /// Move-out Steps 1/2: sweeps `pending` in order, moving in every node
+  /// that has a net neighbor, until a sweep makes no progress. The
+  /// nodes left (orphans) stay in `pending`, in order; returns how many
+  /// re-joined.
+  std::size_t reattach(std::vector<NodeId>& pending);
+  /// Recomputes heights bottom-up from `start` toward the root using
+  /// children's stored heights, stopping at the first node whose height
+  /// is unchanged (every ancestor above it is then already exact). The
+  /// paper's "updating your height" message still travels the whole
+  /// root path, so depth(start) + 1 hops are metered either way.
   void refreshHeightsFrom(NodeId start);
   void reportSlotToRoot(TimeSlot b, TimeSlot l, TimeSlot u = 0);
 
   // -- time-slot machinery (timeslots.cpp) --
-  /// Procedure 1 for b-slots: recalculates y's b-slot from the
-  /// constraints of its backbone "children side" C_b(y); meters rounds
-  /// and reports the revised slot toward the root.
-  void calculateBTimeSlot(NodeId y);
-  /// Procedure 1 for l-slots (constrained by pure-member listeners).
-  void calculateLTimeSlot(NodeId y);
-  /// Procedure 1 for Algorithm-1 unified slots (constrained by every
-  /// next-depth neighbor).
-  void calculateUTimeSlot(NodeId y);
+  /// Which slot field a procedure reads/writes.
+  enum class SlotKind : std::uint8_t { kB, kL, kU };
+  /// True when net node u transmits in the `kind` window where a
+  /// depth-d receiver listens (u is one of its interferers).
+  bool transmitsInto(NodeId u, Depth d, SlotKind kind) const;
+  /// Appends the assigned `kind` slots of v's interferers, skipping node
+  /// `except`, to `out`.
+  void appendInterfererSlots(NodeId v, SlotKind kind, NodeId except,
+                             std::vector<TimeSlot>& out) const;
+  /// The `kind` slot condition at receiver v, using `scratch` as buffer.
+  bool conditionHolds(NodeId v, SlotKind kind,
+                      std::vector<TimeSlot>& scratch) const;
+  /// Procedure 1: recalculates backbone node y's `kind` slot from the
+  /// constraints of every listener that hears y in that window; meters
+  /// 1 + |C(y)| rounds and reports the revised slot toward the root.
+  void calculateSlot(NodeId y, SlotKind kind);
   /// Assigns the convergecast up-slot of a freshly inserted node.
   void assignUpSlot(NodeId v);
-  /// Shared slot-restoration pass used by insertion and compaction.
-  void restoreReceiverConditions(NodeId v);
   /// Algorithm 3: restores the slot conditions around freshly inserted
   /// leaf `v` (and its possibly-promoted parent chain).
   void updateTimeSlotsForInsert(NodeId v);
   /// Ensures the relevant condition holds at receiver `v`, recalculating
   /// its parent's slot when not; returns true when a repair ran.
   bool repairReceiver(NodeId v);
-  /// Listener sets used by Procedure 1 (inverse of the interferer sets).
-  std::vector<NodeId> bConstrainedListeners(NodeId y) const;
-  std::vector<NodeId> lConstrainedListeners(NodeId y) const;
-  std::vector<NodeId> uConstrainedListeners(NodeId y) const;
-  /// Which slot field a procedure reads/writes.
-  enum class SlotKind : std::uint8_t { kB, kL, kU };
-  /// Slots of `nodes` (only assigned ones), excluding node `except`.
-  std::vector<TimeSlot> slotsOf(const std::vector<NodeId>& nodes,
-                                SlotKind kind, NodeId except) const;
 
   // -- move-out machinery (move_out.cpp) --
-  std::vector<NodeId> collectSubtree(NodeId top) const;
+  /// Replaces `out` with the subtree rooted at `top`, in BFS order.
+  void collectSubtree(NodeId top, std::vector<NodeId>& out) const;
   void detachNode(NodeId v);
   MoveOutReport withdrawInner(NodeId v);
   MoveOutReport withdrawRoot();

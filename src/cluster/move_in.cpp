@@ -46,7 +46,21 @@ NodeId ClusterNet::moveIn(NodeId v) {
     return kInvalidNode;
   }
 
-  const std::vector<NodeId> candidates = netNeighbors(v);
+  // One pass over U keeps only the best Definition-1 class seen so far,
+  // in neighbor order. NodeStatus lists the roles in priority order:
+  // heads, then gateways, then pure members.
+  std::vector<NodeId>& candidates = candidates_;
+  candidates.clear();
+  NodeStatus best = NodeStatus::kPureMember;
+  for (NodeId u : adj(v)) {
+    if (!contains(u)) continue;
+    const NodeStatus st = know_[u].status;
+    if (st < best) {
+      candidates.clear();
+      best = st;
+    }
+    if (st == best) candidates.push_back(u);
+  }
   DSN_REQUIRE(!candidates.empty(),
               "moveIn: node has no neighbor inside the cluster net");
 
@@ -54,40 +68,23 @@ NodeId ClusterNet::moveIn(NodeId v) {
   // exactly the degree of the joining node (DESIGN.md §2).
   costs_.attach += static_cast<std::int64_t>(graph_.degree(v));
 
-  // Partition U by status and apply the Definition-1 priority.
-  std::vector<NodeId> heads;
-  std::vector<NodeId> gateways;
-  std::vector<NodeId> members;
-  for (NodeId u : candidates) {
-    switch (know_[u].status) {
-      case NodeStatus::kClusterHead:
-        heads.push_back(u);
-        break;
-      case NodeStatus::kGateway:
-        gateways.push_back(u);
-        break;
-      case NodeStatus::kPureMember:
-        members.push_back(u);
-        break;
-    }
-  }
-
-  NodeId w = kInvalidNode;
-  if (!heads.empty()) {
-    w = selectCandidate(heads);
-    kv.status = NodeStatus::kPureMember;
-  } else if (!gateways.empty()) {
-    w = selectCandidate(gateways);
-    kv.status = NodeStatus::kClusterHead;
-    ++backboneCount_;
-  } else {
-    w = selectCandidate(members);
-    // Promotion: the only status mutation Definition 1 permits.
-    know_[w].status = NodeStatus::kGateway;
-    kv.status = NodeStatus::kClusterHead;
-    backboneCount_ += 2;
-    if (obs::enabled())
-      obs::globalMetrics().counter("cluster.promotions").increment();
+  const NodeId w = selectCandidate(candidates);
+  switch (best) {
+    case NodeStatus::kClusterHead:
+      kv.status = NodeStatus::kPureMember;
+      break;
+    case NodeStatus::kGateway:
+      kv.status = NodeStatus::kClusterHead;
+      ++backboneCount_;
+      break;
+    case NodeStatus::kPureMember:
+      // Promotion: the only status mutation Definition 1 permits.
+      know_[w].status = NodeStatus::kGateway;
+      kv.status = NodeStatus::kClusterHead;
+      backboneCount_ += 2;
+      if (obs::enabled())
+        obs::globalMetrics().counter("cluster.promotions").increment();
+      break;
   }
 
   kv.inNet = true;

@@ -17,7 +17,6 @@
 // Root departure re-seeds the structure from the lowest surviving id.
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "cluster/cnet.hpp"
 #include "obs/metrics.hpp"
@@ -26,13 +25,12 @@
 
 namespace dsn {
 
-std::vector<NodeId> ClusterNet::collectSubtree(NodeId top) const {
+void ClusterNet::collectSubtree(NodeId top, std::vector<NodeId>& out) const {
   requireInNet(top, "collectSubtree");
-  std::vector<NodeId> order{top};
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (NodeId c : know_[order[i]].children) order.push_back(c);
+  out.assign(1, top);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (NodeId c : know_[out[i]].children) out.push_back(c);
   }
-  return order;
 }
 
 void ClusterNet::detachNode(NodeId v) {
@@ -114,7 +112,8 @@ MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
   if (lev == root_) return withdrawRoot();
 
   MoveOutReport report;
-  const std::vector<NodeId> subtree = collectSubtree(lev);
+  std::vector<NodeId>& subtree = subtree_;
+  collectSubtree(lev, subtree);
   report.subtreeSize = subtree.size() - 1;  // T \ {lev}
 
   const RoundCost before = costs_;
@@ -133,44 +132,32 @@ MoveOutReport ClusterNet::withdrawInner(NodeId lev) {
   // Step 0(ii): the "delete me and recalculate" Eulerian tour over T.
   costs_.eulerTour += eulerRounds(subtree.size());
 
-  // Boundary H receivers that may have lost their unique-slot provider.
-  std::unordered_set<NodeId> inT(subtree.begin(), subtree.end());
-  std::vector<NodeId> boundary;
-  for (NodeId t : subtree) {
-    for (NodeId u : graph_.neighbors(t)) {
-      if (!inT.count(u) && contains(u)) boundary.push_back(u);
-    }
-  }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
-
   // Detach T top-down. The leaver stays in the graph (the caller decides
   // whether to remove it); re-insertion ignores it because it is no
   // longer inNet.
   for (NodeId t : subtree) detachNode(t);
   refreshHeightsFrom(hParent);
 
+  // Boundary H receivers that may have lost their unique-slot provider:
+  // with T detached, the net neighbors of T are exactly H's side.
+  std::vector<NodeId>& boundary = boundary_;
+  boundary.clear();
+  for (NodeId t : subtree) {
+    for (NodeId u : adj(t))
+      if (contains(u)) boundary.push_back(u);
+  }
+  std::sort(boundary.begin(), boundary.end());
+  boundary.erase(std::unique(boundary.begin(), boundary.end()),
+                 boundary.end());
+
   // Steps 1 & 2: re-insert T \ {lev} via node-move-in, each node attaching
   // once it has a neighbor inside the net (the paper's tour visits them in
   // an order with the same property). The withdrawn node itself never
-  // re-attaches here: it is excluded from `pending`.
-  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
+  // re-attaches here: it leaves the pending list.
+  std::vector<NodeId>& pending = subtree;
+  pending.erase(pending.begin());
   costs_.eulerTour += eulerRounds(pending.size() + 1);
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId t : pending) {
-      if (!netNeighbors(t).empty()) {
-        moveIn(t);
-        progress = true;
-      } else {
-        still.push_back(t);
-      }
-    }
-    pending.swap(still);
-  }
+  reattach(pending);
   report.orphaned = pending.size();
 
   // Repair pass: re-validate every boundary receiver (plus re-inserted
@@ -191,9 +178,9 @@ MoveOutReport ClusterNet::withdrawRoot() {
   // (DESIGN.md §4(3)).
   MoveOutReport report;
   const RoundCost before = costs_;
-  const NodeId oldRoot = root_;
 
-  const std::vector<NodeId> subtree = collectSubtree(oldRoot);
+  std::vector<NodeId>& subtree = subtree_;
+  collectSubtree(root_, subtree);
   report.subtreeSize = subtree.size() - 1;
   costs_.eulerTour += eulerRounds(subtree.size());
 
@@ -204,26 +191,14 @@ MoveOutReport ClusterNet::withdrawRoot() {
   rootMaxU_ = 0;
   rootMaxUp_ = 0;
 
-  std::vector<NodeId> pending(subtree.begin() + 1, subtree.end());
+  std::vector<NodeId>& pending = subtree;
+  pending.erase(pending.begin());
   if (!pending.empty()) {
     // Seed a fresh root, then grow as in the non-root case.
-    const NodeId seed = *std::min_element(pending.begin(), pending.end());
-    moveIn(seed);
-    pending.erase(std::find(pending.begin(), pending.end(), seed));
-    bool progress = true;
-    while (progress && !pending.empty()) {
-      progress = false;
-      std::vector<NodeId> still;
-      for (NodeId t : pending) {
-        if (!netNeighbors(t).empty()) {
-          moveIn(t);
-          progress = true;
-        } else {
-          still.push_back(t);
-        }
-      }
-      pending.swap(still);
-    }
+    const auto seed = std::min_element(pending.begin(), pending.end());
+    moveIn(*seed);
+    pending.erase(seed);
+    reattach(pending);
   }
   report.orphaned = pending.size();
   report.cost = costs_ - before;

@@ -1,7 +1,6 @@
 #include "cluster/recovery.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "cluster/cnet.hpp"
 #include "obs/flight.hpp"
@@ -81,14 +80,14 @@ RecoveryReport RecoveryManager::repair() {
   // Survivors = nodes reachable from a live root via children links over
   // alive nodes only. Parent-closed by construction, so what survives is
   // itself a valid cluster net.
-  std::unordered_set<NodeId> attached;
+  std::vector<char> attached(net.know_.size(), 0);
   if (!rootDead && net.root_ != kInvalidNode) {
     std::vector<NodeId> frontier{net.root_};
-    attached.insert(net.root_);
+    attached[net.root_] = 1;
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       for (NodeId c : net.know_[frontier[i]].children) {
         if (net.graph_.isAlive(c)) {
-          attached.insert(c);
+          attached[c] = 1;
           frontier.push_back(c);
         }
       }
@@ -97,24 +96,26 @@ RecoveryReport RecoveryManager::repair() {
 
   // The detach set D = everything in the net but not attached; D is a
   // union of maximal subtrees whose tops hang off surviving parents (or
-  // off dead ancestors, or is the whole net when the root died).
+  // off dead ancestors, or is the whole net when the root died). Ids
+  // ascend, so the tops come out sorted.
   std::vector<NodeId> tops;
   for (NodeId v = 0; v < net.know_.size(); ++v) {
     const NodeKnowledge& k = net.know_[v];
-    if (!k.inNet || attached.count(v)) continue;
-    if (k.parent == kInvalidNode || attached.count(k.parent))
-      tops.push_back(v);
+    if (!k.inNet || attached[v]) continue;
+    if (k.parent == kInvalidNode || attached[k.parent]) tops.push_back(v);
   }
-  std::sort(tops.begin(), tops.end());
 
   std::vector<NodeId> pending;  // alive detached nodes, re-attach later
+  std::vector<NodeId> subtree;
   for (NodeId top : tops) {
-    const std::vector<NodeId> subtree = net.collectSubtree(top);
+    net.collectSubtree(top, subtree);
     const NodeId hParent = net.know_[top].parent;
+    const bool survivingParent =
+        hParent != kInvalidNode && attached[hParent];
 
     // Move-out Step 0: relay-list decrements on the surviving root path,
     // before any record is wiped (the walk needs intact parent links).
-    if (hParent != kInvalidNode && attached.count(hParent)) {
+    if (survivingParent) {
       for (NodeId t : subtree) {
         for (GroupId g : net.know_[t].groups)
           net.adjustRelayOnPath(hParent, g, -1);
@@ -129,8 +130,7 @@ RecoveryReport RecoveryManager::repair() {
       net.detachNode(t);
       if (net.graph_.isAlive(t)) pending.push_back(t);
     }
-    if (hParent != kInvalidNode && attached.count(hParent))
-      net.refreshHeightsFrom(hParent);
+    if (survivingParent) net.refreshHeightsFrom(hParent);
   }
 
   if (rootDead) {
@@ -151,21 +151,7 @@ RecoveryReport RecoveryManager::repair() {
     pending.erase(pending.begin());
     ++report.reattached;
   }
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<NodeId> still;
-    for (NodeId t : pending) {
-      if (!net.netNeighbors(t).empty()) {
-        net.moveIn(t);
-        ++report.reattached;
-        progress = true;
-      } else {
-        still.push_back(t);
-      }
-    }
-    pending.swap(still);
-  }
+  report.reattached += net.reattach(pending);
   report.orphaned = pending.size();
 
   // Slot repair: the dead nodes' graph edges vanished with removeNode, so

@@ -18,7 +18,7 @@
 // A receiver's condition holds when some interferer's slot is *unique*
 // within the interferer set — that transmitter gets through. Slots are
 // assigned lazily and only ever changed through Procedure 1
-// (calculateXTimeSlot), which consults every listener constrained by the
+// (calculateSlot), which consults every listener constrained by the
 // changing node and picks the minimum positive slot that keeps each tight
 // listener deliverable; this preserves all conditions inductively.
 
@@ -47,23 +47,25 @@ void recordSlotRecompute(NodeId y, TimeSlot slot, std::uint16_t kind) {
   }
 }
 
-/// Number of values occurring exactly once in `slots`. (The callers only
-/// ever need the count, so no ordered set is materialized — sort the
-/// local copy and count singleton runs.)
-std::size_t uniqueValueCount(std::vector<TimeSlot> slots) {
-  std::sort(slots.begin(), slots.end());
+/// Number of values occurring exactly once in [first, last). The callers
+/// only ever need the count, so the range is sorted in place and
+/// singleton runs are counted.
+std::size_t uniqueValueCount(std::vector<TimeSlot>::iterator first,
+                             std::vector<TimeSlot>::iterator last) {
+  std::sort(first, last);
   std::size_t unique = 0;
-  for (std::size_t i = 0; i < slots.size();) {
-    std::size_t j = i + 1;
-    while (j < slots.size() && slots[j] == slots[i]) ++j;
+  for (auto i = first; i != last;) {
+    auto j = i + 1;
+    while (j != last && *j == *i) ++j;
     if (j - i == 1) ++unique;
     i = j;
   }
   return unique;
 }
 
-/// Smallest positive integer not contained in `taken` (duplicates fine).
-TimeSlot minimumFreeSlot(std::vector<TimeSlot> taken) {
+/// Smallest positive integer not contained in `taken` (duplicates fine;
+/// sorts `taken` in place).
+TimeSlot minimumFreeSlot(std::vector<TimeSlot>& taken) {
   std::sort(taken.begin(), taken.end());
   TimeSlot candidate = 1;
   for (TimeSlot t : taken) {
@@ -80,15 +82,21 @@ TimeSlot minimumFreeSlot(std::vector<TimeSlot> taken) {
 
 // ---- Interferer sets (who transmits while v listens) ----
 
+bool ClusterNet::transmitsInto(NodeId u, Depth d, SlotKind kind) const {
+  // Only backbone nodes carry b/l/u-slots. The backbone flood and the
+  // Algorithm-1 flood run depth by depth (previous depth only); the
+  // shared leaf window hears every backbone neighbor under kStrict.
+  if (!contains(u) || !isBackboneStatus(know_[u].status)) return false;
+  return know_[u].depth == d - 1 ||
+         (kind == SlotKind::kL &&
+          config_.slotPolicy == SlotPolicy::kStrict);
+}
+
 std::vector<NodeId> ClusterNet::bInterferers(NodeId v) const {
   requireInNet(v, "bInterferers");
   std::vector<NodeId> out;
-  const Depth d = know_[v].depth;
-  for (NodeId u : adj(v)) {
-    if (!contains(u)) continue;
-    if (isBackboneStatus(know_[u].status) && know_[u].depth == d - 1)
-      out.push_back(u);
-  }
+  for (NodeId u : adj(v))
+    if (transmitsInto(u, know_[v].depth, SlotKind::kB)) out.push_back(u);
   return out;
 }
 
@@ -101,164 +109,97 @@ std::vector<NodeId> ClusterNet::uInterferers(NodeId v) const {
 std::vector<NodeId> ClusterNet::lInterferers(NodeId v) const {
   requireInNet(v, "lInterferers");
   std::vector<NodeId> out;
+  for (NodeId u : adj(v))
+    if (transmitsInto(u, know_[v].depth, SlotKind::kL)) out.push_back(u);
+  return out;
+}
+
+void ClusterNet::appendInterfererSlots(NodeId v, SlotKind kind,
+                                       NodeId except,
+                                       std::vector<TimeSlot>& out) const {
   const Depth d = know_[v].depth;
   for (NodeId u : adj(v)) {
-    if (!contains(u)) continue;
-    if (!isBackboneStatus(know_[u].status)) continue;
-    if (config_.slotPolicy == SlotPolicy::kStrict ||
-        know_[u].depth == d - 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-// ---- Constrained listener sets (who y must keep deliverable) ----
-
-std::vector<NodeId> ClusterNet::bConstrainedListeners(NodeId y) const {
-  requireInNet(y, "bConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (!contains(u)) continue;
-    if (isBackboneStatus(know_[u].status) && know_[u].depth == d + 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<NodeId> ClusterNet::lConstrainedListeners(NodeId y) const {
-  requireInNet(y, "lConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (!contains(u)) continue;
-    if (know_[u].status != NodeStatus::kPureMember) continue;
-    if (config_.slotPolicy == SlotPolicy::kStrict ||
-        know_[u].depth == d + 1)
-      out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<NodeId> ClusterNet::uConstrainedListeners(NodeId y) const {
-  requireInNet(y, "uConstrainedListeners");
-  std::vector<NodeId> out;
-  const Depth d = know_[y].depth;
-  for (NodeId u : adj(y)) {
-    if (contains(u) && know_[u].depth == d + 1) out.push_back(u);
-  }
-  return out;
-}
-
-std::vector<TimeSlot> ClusterNet::slotsOf(const std::vector<NodeId>& nodes,
-                                          SlotKind kind,
-                                          NodeId except) const {
-  std::vector<TimeSlot> out;
-  out.reserve(nodes.size());
-  for (NodeId u : nodes) {
-    if (u == except) continue;
-    TimeSlot s = kNoSlot;
-    switch (kind) {
-      case SlotKind::kB:
-        s = know_[u].bSlot;
-        break;
-      case SlotKind::kL:
-        s = know_[u].lSlot;
-        break;
-      case SlotKind::kU:
-        s = know_[u].uSlot;
-        break;
-    }
+    if (u == except || !transmitsInto(u, d, kind)) continue;
+    const NodeKnowledge& k = know_[u];
+    const TimeSlot s = kind == SlotKind::kB   ? k.bSlot
+                       : kind == SlotKind::kL ? k.lSlot
+                                              : k.uSlot;
     if (s != kNoSlot) out.push_back(s);
   }
-  return out;
 }
 
 // ---- Conditions ----
+
+bool ClusterNet::conditionHolds(NodeId v, SlotKind kind,
+                                std::vector<TimeSlot>& scratch) const {
+  scratch.clear();
+  appendInterfererSlots(v, kind, kInvalidNode, scratch);
+  return uniqueValueCount(scratch.begin(), scratch.end()) > 0;
+}
 
 bool ClusterNet::bConditionHolds(NodeId v) const {
   requireInNet(v, "bConditionHolds");
   DSN_REQUIRE(isBackboneStatus(know_[v].status) && know_[v].depth > 0,
               "bConditionHolds: needs a non-root backbone node");
-  return uniqueValueCount(
-             slotsOf(bInterferers(v), SlotKind::kB, kInvalidNode)) > 0;
+  std::vector<TimeSlot> scratch;
+  return conditionHolds(v, SlotKind::kB, scratch);
 }
 
 bool ClusterNet::lConditionHolds(NodeId v) const {
   requireInNet(v, "lConditionHolds");
   DSN_REQUIRE(know_[v].status == NodeStatus::kPureMember,
               "lConditionHolds: needs a pure member");
-  return uniqueValueCount(
-             slotsOf(lInterferers(v), SlotKind::kL, kInvalidNode)) > 0;
+  std::vector<TimeSlot> scratch;
+  return conditionHolds(v, SlotKind::kL, scratch);
 }
 
 bool ClusterNet::uConditionHolds(NodeId v) const {
   requireInNet(v, "uConditionHolds");
   DSN_REQUIRE(know_[v].depth > 0,
               "uConditionHolds: the root does not receive");
-  return uniqueValueCount(
-             slotsOf(uInterferers(v), SlotKind::kU, kInvalidNode)) > 0;
+  std::vector<TimeSlot> scratch;
+  return conditionHolds(v, SlotKind::kU, scratch);
 }
 
 // ---- Procedure 1 (paper Section 4) ----
 
-void ClusterNet::calculateBTimeSlot(NodeId y) {
-  requireInNet(y, "calculateBTimeSlot");
+void ClusterNet::calculateSlot(NodeId y, SlotKind kind) {
+  requireInNet(y, "calculateSlot");
   DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateBTimeSlot: only backbone nodes carry b-slots");
+              "calculateSlot: only backbone nodes carry b/l/u-slots");
 
-  const std::vector<NodeId> listeners = bConstrainedListeners(y);
+  // The listeners y must keep deliverable: every receiver of this
+  // window (backbone nodes for b, pure members for l, anyone for u)
+  // that hears y. Each one's interferer slots other than y's are
+  // forbidden unless two of them are unique already (v safe regardless).
+  std::vector<TimeSlot>& forbidden = slotScratch_;
+  forbidden.clear();
+  std::int64_t listeners = 0;
+  for (NodeId v : adj(y)) {
+    if (!contains(v)) continue;
+    const NodeStatus st = know_[v].status;
+    if (kind == SlotKind::kB && !isBackboneStatus(st)) continue;
+    if (kind == SlotKind::kL && st != NodeStatus::kPureMember) continue;
+    if (!transmitsInto(y, know_[v].depth, kind)) continue;
+    ++listeners;
+    const auto mark = static_cast<std::ptrdiff_t>(forbidden.size());
+    appendInterfererSlots(v, kind, y, forbidden);
+    if (uniqueValueCount(forbidden.begin() + mark, forbidden.end()) >= 2)
+      forbidden.erase(forbidden.begin() + mark, forbidden.end());
+  }
   // Procedure 1(i): one round for y's request, then each listener answers
   // in turn (Lemma 2(1): 1 + |C(y)| rounds).
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
+  costs_.slotUpdate += 1 + listeners;
 
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(bInterferers(v), SlotKind::kB, y);
-    if (uniqueValueCount(slots) >= 2) continue;  // v safe regardless
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].bSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].bSlot, 0);
-  reportSlotToRoot(know_[y].bSlot, 0, 0);
-}
-
-void ClusterNet::calculateLTimeSlot(NodeId y) {
-  requireInNet(y, "calculateLTimeSlot");
-  DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateLTimeSlot: only backbone nodes carry l-slots");
-
-  const std::vector<NodeId> listeners = lConstrainedListeners(y);
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
-
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(lInterferers(v), SlotKind::kL, y);
-    if (uniqueValueCount(slots) >= 2) continue;
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].lSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].lSlot, 1);
-  reportSlotToRoot(0, know_[y].lSlot, 0);
-}
-
-void ClusterNet::calculateUTimeSlot(NodeId y) {
-  requireInNet(y, "calculateUTimeSlot");
-  DSN_REQUIRE(isBackboneStatus(know_[y].status),
-              "calculateUTimeSlot: only internal nodes carry u-slots");
-
-  const std::vector<NodeId> listeners = uConstrainedListeners(y);
-  costs_.slotUpdate += 1 + static_cast<std::int64_t>(listeners.size());
-
-  std::vector<TimeSlot> forbidden;
-  for (NodeId v : listeners) {
-    const auto slots = slotsOf(uInterferers(v), SlotKind::kU, y);
-    if (uniqueValueCount(slots) >= 2) continue;
-    forbidden.insert(forbidden.end(), slots.begin(), slots.end());
-  }
-  know_[y].uSlot = minimumFreeSlot(forbidden);
-  recordSlotRecompute(y, know_[y].uSlot, 2);
-  reportSlotToRoot(0, 0, know_[y].uSlot);
+  const TimeSlot slot = minimumFreeSlot(forbidden);
+  NodeKnowledge& k = know_[y];
+  (kind == SlotKind::kB   ? k.bSlot
+   : kind == SlotKind::kL ? k.lSlot
+                          : k.uSlot) = slot;
+  recordSlotRecompute(y, slot, static_cast<std::uint16_t>(kind));
+  reportSlotToRoot(kind == SlotKind::kB ? slot : 0,
+                   kind == SlotKind::kL ? slot : 0,
+                   kind == SlotKind::kU ? slot : 0);
 }
 
 // ---- Convergecast up-slots (dsnet extension, DESIGN.md §6) ----
@@ -287,7 +228,8 @@ void ClusterNet::assignUpSlot(NodeId v) {
   // previous-depth neighbor with v — then every potential listener can
   // separate v from all other transmitters in its gather window.
   const Depth d = know_[v].depth;
-  std::vector<TimeSlot> forbidden;
+  std::vector<TimeSlot>& forbidden = slotScratch_;
+  forbidden.clear();
   std::int64_t listeners = 0;
   for (NodeId q : adj(v)) {
     if (!contains(q) || know_[q].depth != d - 1) continue;
@@ -324,36 +266,22 @@ bool ClusterNet::repairReceiver(NodeId v) {
   // join lands between a crash and the batched repair of the same churn
   // tick and promotes a member whose own parent is the dead node.
   if (!graph_.hasEdge(v, w)) return false;
+
+  // The flood-phase condition (the leaf hop for pure members, the
+  // backbone flood otherwise), then the Algorithm-1 one: every non-root
+  // node is a u-receiver.
+  const SlotKind phase = know_[v].status == NodeStatus::kPureMember
+                             ? SlotKind::kL
+                             : SlotKind::kB;
   bool repaired = false;
-
-  if (know_[v].status == NodeStatus::kPureMember) {
-    if (!lConditionHolds(v)) {
-      calculateLTimeSlot(w);
-      DSN_CHECK(lConditionHolds(v),
-                "parent l-slot recalculation failed to restore Condition 2");
-      repaired = true;
-    }
-  } else {
-    if (!bConditionHolds(v)) {
-      calculateBTimeSlot(w);
-      DSN_CHECK(bConditionHolds(v),
-                "parent b-slot recalculation failed to restore Condition 1");
-      repaired = true;
-    }
-  }
-
-  // Algorithm-1 slot space: every non-root node is a u-receiver.
-  if (!uConditionHolds(v)) {
-    calculateUTimeSlot(w);
-    DSN_CHECK(uConditionHolds(v),
-              "parent u-slot recalculation failed to restore Condition 1");
+  for (const SlotKind kind : {phase, SlotKind::kU}) {
+    if (conditionHolds(v, kind, slotScratch_)) continue;
+    calculateSlot(w, kind);
+    DSN_CHECK(conditionHolds(v, kind, slotScratch_),
+              "parent slot recalculation failed to restore the condition");
     repaired = true;
   }
   return repaired;
-}
-
-void ClusterNet::restoreReceiverConditions(NodeId v) {
-  repairReceiver(v);
 }
 
 std::int64_t ClusterNet::compactSlots() {
@@ -367,9 +295,8 @@ std::int64_t ClusterNet::compactSlots() {
   // BFS order: each node's delivery conditions are restored exactly as a
   // fresh insertion would (Algorithm 3), which by construction picks
   // minimum free slots.
-  std::vector<NodeId> order{root_};
-  for (std::size_t i = 0; i < order.size(); ++i)
-    for (NodeId c : know_[order[i]].children) order.push_back(c);
+  std::vector<NodeId>& order = subtree_;
+  collectSubtree(root_, order);
 
   for (NodeId v : order) {
     know_[v].bSlot = kNoSlot;
@@ -384,7 +311,7 @@ std::int64_t ClusterNet::compactSlots() {
 
   for (NodeId v : order) {
     if (v == root_) continue;
-    restoreReceiverConditions(v);
+    repairReceiver(v);
     assignUpSlot(v);
   }
   // Conditions of already-processed nodes cannot have been broken: every

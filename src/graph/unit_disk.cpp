@@ -52,7 +52,7 @@ std::vector<NodeId> UnitDiskIndex::queryNeighbors(const Point2D& p) const {
       const auto it = cells_.find(packKey(cx + dx, cy + dy));
       if (it == cells_.end()) continue;
       for (NodeId id : it->second) {
-        if (inRange(positions_.at(id), p, range_)) out.push_back(id);
+        if (inRange(*positions_[id], p, range_)) out.push_back(id);
       }
     }
   }
@@ -62,40 +62,40 @@ std::vector<NodeId> UnitDiskIndex::queryNeighbors(const Point2D& p) const {
 
 void UnitDiskIndex::insert(NodeId id, const Point2D& p) {
   DSN_REQUIRE(!contains(id), "UnitDiskIndex::insert: duplicate id");
-  positions_.emplace(id, p);
+  if (id >= positions_.size()) positions_.resize(id + std::size_t{1});
+  positions_[id] = p;
+  ++size_;
   cells_[cellOf(p)].push_back(id);
 }
 
 void UnitDiskIndex::remove(NodeId id) {
-  const auto it = positions_.find(id);
-  DSN_REQUIRE(it != positions_.end(), "UnitDiskIndex::remove: unknown id");
-  auto& bucket = cells_[cellOf(it->second)];
+  DSN_REQUIRE(contains(id), "UnitDiskIndex::remove: unknown id");
+  auto& bucket = cells_[cellOf(*positions_[id])];
   bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
-  positions_.erase(it);
+  positions_[id].reset();
+  --size_;
 }
 
 void UnitDiskIndex::updatePosition(NodeId id, const Point2D& p) {
-  const auto it = positions_.find(id);
-  DSN_REQUIRE(it != positions_.end(),
-              "UnitDiskIndex::updatePosition: unknown id");
-  const CellKey oldCell = cellOf(it->second);
+  DSN_REQUIRE(contains(id), "UnitDiskIndex::updatePosition: unknown id");
+  Point2D& at = *positions_[id];
+  const CellKey oldCell = cellOf(at);
   const CellKey newCell = cellOf(p);
   if (oldCell != newCell) {
     auto& bucket = cells_[oldCell];
     bucket.erase(std::remove(bucket.begin(), bucket.end(), id), bucket.end());
     cells_[newCell].push_back(id);
   }
-  it->second = p;
+  at = p;
 }
 
 const Point2D& UnitDiskIndex::position(NodeId id) const {
-  const auto it = positions_.find(id);
-  DSN_REQUIRE(it != positions_.end(), "UnitDiskIndex::position: unknown id");
-  return it->second;
+  DSN_REQUIRE(contains(id), "UnitDiskIndex::position: unknown id");
+  return *positions_[id];
 }
 
 bool UnitDiskIndex::contains(NodeId id) const {
-  return positions_.count(id) != 0;
+  return id < positions_.size() && positions_[id].has_value();
 }
 
 }  // namespace dsn

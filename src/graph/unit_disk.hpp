@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -23,7 +24,9 @@ Graph buildUnitDiskGraph(const std::vector<Point2D>& points, double range);
 
 /// Incremental unit-disk neighborhood index: a sparse spatial grid that
 /// maps a point to the ids of existing points within range. Used by the
-/// incremental deployment generator and by dynamic topologies.
+/// incremental deployment generator and by dynamic topologies. Positions
+/// are stored densely by id, so ids should be small and dense (graph
+/// node ids are).
 class UnitDiskIndex {
  public:
   /// `range` must be positive.
@@ -40,13 +43,13 @@ class UnitDiskIndex {
   void remove(NodeId id);
 
   /// Moves a previously inserted id to `p` in place. When the new
-  /// position stays inside the same grid cell this is a single hash-map
-  /// overwrite; otherwise the id migrates between cell buckets. Behaves
+  /// position stays inside the same grid cell this is a single store;
+  /// otherwise the id migrates between cell buckets. Behaves
   /// exactly like remove(id) + insert(id, p) but without rehashing the
   /// id or reallocating untouched buckets. Precondition: it was inserted.
   void updatePosition(NodeId id, const Point2D& p);
 
-  std::size_t size() const { return positions_.size(); }
+  std::size_t size() const { return size_; }
   double range() const { return range_; }
 
   /// Stored position of `id`. Precondition: `id` is present.
@@ -60,7 +63,9 @@ class UnitDiskIndex {
 
   double range_;
   std::unordered_map<CellKey, std::vector<NodeId>> cells_;
-  std::unordered_map<NodeId, Point2D> positions_;
+  /// positions_[id] is set while `id` is inserted.
+  std::vector<std::optional<Point2D>> positions_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dsn

@@ -14,8 +14,11 @@
 // every round (the next-round wake lane), gather mixes the lane with
 // multi-round heap wakes — and requires that, once the engine is seeded,
 // not one round allocates: both wake lanes are reserved in seed(). A
-// plain executable (not gtest) so the override sees only our own code
-// paths.
+// fifth pass drives the cluster maintenance path (withdraw + moveIn of
+// leaves and inner nodes, slot compaction) on a warm net and requires
+// zero allocations per cycle once a cycle reproduces the tree it started
+// from (DESIGN.md §4). A plain executable (not gtest) so the override
+// sees only our own code paths.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -149,6 +152,81 @@ void installGather(RadioSimulator& sim, const ClusterNet& net) {
     nc.value = v;
     sim.setProtocol(v, std::make_unique<GatherNodeProtocol>(nc));
   }
+}
+
+/// Incremental Section-4/5 maintenance on a warm net: withdraw(v) +
+/// moveIn(v) cycles over leaves and inner nodes (each withdrawal
+/// re-inserts v's subtree and repairs the boundary), then compactSlots()
+/// — a repairReceiver sweep over every node with all slots wiped. The
+/// first cycles re-shape the tree (a re-inserted subtree attaches by the
+/// move-in rules, not in construction order), and a bigger subtree or
+/// child list may grow a buffer to a new high-water mark. Once a cycle
+/// reproduces the tree it started from, every later cycle repeats the
+/// same work and must allocate nothing. Returns false (after printing
+/// why) otherwise.
+bool warmMaintenanceAllocatesNothing() {
+  Rng rng(0xC1C1E);
+  const auto points = deployIncrementalAttach(
+      {Field::squareUnits(6), 50.0, 300}, rng);
+  Graph g = buildUnitDiskGraph(points, 50.0);
+  ClusterNet net(g);
+  std::vector<NodeId> order(g.size());
+  for (NodeId v = 0; v < g.size(); ++v) order[v] = v;
+  net.buildAll(order);
+
+  // A dozen leaves and a dozen inner (non-root, with children) nodes.
+  std::vector<NodeId> picks;
+  std::size_t leaves = 0;
+  std::size_t inner = 0;
+  for (NodeId v : net.netNodes()) {
+    if (v == net.root()) continue;
+    if (net.children(v).empty() ? leaves++ < 12 : inner++ < 12)
+      picks.push_back(v);
+  }
+  std::size_t reinserted = 0;
+  auto cycle = [&] {
+    for (NodeId v : picks) {
+      reinserted += net.withdraw(v).subtreeSize;
+      net.moveIn(v);
+    }
+    net.compactSlots();
+  };
+  auto parents = [&] {
+    std::vector<NodeId> p;
+    for (NodeId v : net.netNodes()) p.push_back(net.parent(v));
+    return p;
+  };
+  int warmCycles = 0;
+  for (std::vector<NodeId> start; warmCycles < 8; ++warmCycles) {
+    start = parents();
+    cycle();
+    if (parents() == start) break;
+  }
+  const std::vector<NodeId> fixedPoint = parents();
+  const std::size_t before = g_allocs.load(std::memory_order_relaxed);
+  g_armed = true;
+  for (int i = 0; i < 3; ++i) cycle();
+  g_armed = false;
+  const std::size_t allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  if (inner < 12 || leaves < 12 || reinserted == 0 ||
+      parents() != fixedPoint || warmCycles == 8) {
+    std::fprintf(stderr, "FAIL: maintenance cycles withdrew no inner "
+                         "subtrees or never reached a fixed tree — not a "
+                         "meaningful guard\n");
+    return false;
+  }
+  if (allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: warm withdraw/moveIn/compactSlots cycles "
+                 "allocated %zu times (expected 0)\n",
+                 allocs);
+    return false;
+  }
+  std::printf("ok: warm maintenance, %d warm-up cycles, then 3 cycles of "
+              "%zu withdraw/moveIn + compactSlots with 0 allocations "
+              "(%zu subtree nodes re-inserted in all)\n",
+              warmCycles + 1, picks.size(), reinserted);
+  return true;
 }
 
 /// Runs one wave to completion twice on a shared resolve scratch: the
@@ -401,7 +479,8 @@ int run() {
           [&](RadioSimulator& sim) { installDfo(sim, cnet); }) ||
       !warmWaveAllocatesNothing(
           "gather", net.graph(), 1 << 16,
-          [&](RadioSimulator& sim) { installGather(sim, cnet); }))
+          [&](RadioSimulator& sim) { installGather(sim, cnet); }) ||
+      !warmMaintenanceAllocatesNothing())
     return 1;
 
   std::printf("ok: 1000 steady-state rounds, 0 allocations, %zu "
